@@ -84,15 +84,15 @@ SuiteResult run_suite(const std::string& suite_name,
         rate_samples[name + "_per_sec"].push_back(units / denom);
       if (i > 0)
         require(rec.counts().size() == rate_samples.size(),
-                "bench::run_suite: counters differ across repeats of '" +
-                    c.name + "'");
+                "bench::run_suite: counters differ across repeats of '",
+                c.name, "'");
     }
     cr.wall_seconds = summarize(std::move(wall));
     cr.cpu_seconds = summarize(std::move(cpu));
     for (auto& [name, samples] : rate_samples) {
       require(samples.size() == static_cast<std::size_t>(options.repeats),
-              "bench::run_suite: counter '" + name +
-                  "' missing from some repeats of '" + c.name + "'");
+              "bench::run_suite: counter '", name,
+              "' missing from some repeats of '", c.name, "'");
       cr.rates[name] = summarize(std::move(samples));
     }
     result.cases.push_back(std::move(cr));

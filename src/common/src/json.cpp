@@ -42,7 +42,7 @@ const JsonObject& Json::as_object() const {
 const Json& Json::at(const std::string& key) const {
   const auto& obj = as_object();
   const auto it = obj.find(key);
-  require(it != obj.end(), "Json: missing key '" + key + "'");
+  require(it != obj.end(), "Json: missing key '", key, "'");
   return it->second;
 }
 

@@ -52,8 +52,12 @@ std::vector<double> linspace(double lo, double hi, std::size_t n) {
 
 namespace {
 
+// The gamma_p helpers take log(x) and lgamma(a) from the caller:
+// gamma_quantile's Newton loop computes lgamma(a) once per quantile and
+// log(x) once per iterate, and shares both with the pdf.
+
 // Series representation of P(a, x), converges quickly for x < a + 1.
-double gamma_p_series(double a, double x) {
+double gamma_p_series(double a, double x, double log_x, double lgamma_a) {
   double term = 1.0 / a;
   double sum = term;
   double ap = a;
@@ -63,11 +67,11 @@ double gamma_p_series(double a, double x) {
     sum += term;
     if (std::abs(term) < std::abs(sum) * 1e-15) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * log_x - lgamma_a);
 }
 
 // Lentz continued fraction for Q(a, x) = 1 - P(a, x), for x >= a + 1.
-double gamma_q_cf(double a, double x) {
+double gamma_q_cf(double a, double x, double log_x, double lgamma_a) {
   constexpr double kTiny = 1e-300;
   double b = x + 1.0 - a;
   double c = 1.0 / kTiny;
@@ -85,16 +89,22 @@ double gamma_q_cf(double a, double x) {
     h *= delta;
     if (std::abs(delta - 1.0) < 1e-15) break;
   }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return h * std::exp(-x + a * log_x - lgamma_a);
+}
+
+// gamma_p with its checks (a NaN Newton iterate must still throw).
+double gamma_p(double a, double x, double log_x, double lgamma_a) {
+  require(a > 0.0, "gamma_p: shape must be positive");
+  require(x >= 0.0, "gamma_p: x must be >= 0");
+  if (x == 0.0) return 0.0;
+  return x < a + 1.0 ? gamma_p_series(a, x, log_x, lgamma_a)
+                     : 1.0 - gamma_q_cf(a, x, log_x, lgamma_a);
 }
 
 }  // namespace
 
 double gamma_p(double a, double x) {
-  require(a > 0.0, "gamma_p: shape must be positive");
-  require(x >= 0.0, "gamma_p: x must be >= 0");
-  if (x == 0.0) return 0.0;
-  return x < a + 1.0 ? gamma_p_series(a, x) : 1.0 - gamma_q_cf(a, x);
+  return gamma_p(a, x, std::log(x), std::lgamma(a));
 }
 
 double gamma_quantile(double p, double shape, double scale) {
@@ -108,9 +118,11 @@ double gamma_quantile(double p, double shape, double scale) {
   if (!(x > 0.0)) x = k * 1e-8;
 
   // Newton refinement on F(x) = gamma_p(k, x) - p; F'(x) is the pdf.
+  const double lgamma_k = std::lgamma(k);
   for (int it = 0; it < 60; ++it) {
-    const double f = gamma_p(k, x) - p;
-    const double logpdf = (k - 1.0) * std::log(x) - x - std::lgamma(k);
+    const double log_x = std::log(x);
+    const double f = gamma_p(k, x, log_x, lgamma_k) - p;
+    const double logpdf = (k - 1.0) * log_x - x - lgamma_k;
     const double pdf = std::exp(logpdf);
     if (pdf <= 0.0) break;
     double step = f / pdf;

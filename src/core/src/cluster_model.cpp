@@ -13,17 +13,17 @@ ClusterModel::ClusterModel(std::vector<Tier> tiers, std::vector<WorkloadClass> c
   require(!tiers_.empty(), "ClusterModel: need at least one tier");
   require(!classes_.empty(), "ClusterModel: need at least one class");
   for (const auto& t : tiers_) {
-    require(t.servers >= 1, "ClusterModel: tier '" + t.name + "' needs >= 1 server");
+    require(t.servers >= 1, "ClusterModel: tier '", t.name, "' needs >= 1 server");
     require(t.server_cost > 0.0,
-            "ClusterModel: tier '" + t.name + "' needs positive cost");
+            "ClusterModel: tier '", t.name, "' needs positive cost");
   }
   for (const auto& c : classes_) {
     require(c.rate >= units::per_second(0.0),
-            "ClusterModel: class '" + c.name + "' has negative rate");
-    require(!c.route.empty(), "ClusterModel: class '" + c.name + "' has empty route");
+            "ClusterModel: class '", c.name, "' has negative rate");
+    require(!c.route.empty(), "ClusterModel: class '", c.name, "' has empty route");
     for (const auto& d : c.route)
       require(d.tier >= 0 && static_cast<std::size_t>(d.tier) < tiers_.size(),
-              "ClusterModel: class '" + c.name + "' routes to unknown tier");
+              "ClusterModel: class '", c.name, "' routes to unknown tier");
   }
 }
 
@@ -148,14 +148,7 @@ Evaluation ClusterModel::evaluate(const std::vector<double>& frequencies) const 
   if (!queueing::network_stable(stations, classes)) return ev;  // stable=false
   ev.stable = true;
   ev.net = queueing::analyze_network(stations, classes);
-
-  std::vector<power::TierPower> tier_power;
-  tier_power.reserve(tiers_.size());
-  for (std::size_t i = 0; i < tiers_.size(); ++i)
-    tier_power.push_back(
-        power::TierPower{tiers_[i].power, units::hertz(frequencies[i]),
-                         tiers_[i].servers});
-  ev.energy = power::compute_energy(tier_power, classes, ev.net);
+  ev.energy = power::compute_energy(tier_power(frequencies), classes, ev.net);
   return ev;
 }
 

@@ -138,7 +138,7 @@ int tier_index(const Json& ref, const std::vector<Tier>& tiers,
   if (ref.is_number()) {
     const int idx = static_cast<int>(ref.as_number());
     require(idx >= 0 && static_cast<std::size_t>(idx) < tiers.size(),
-            "model_io: class '" + cls_name + "' routes to tier index out of range");
+            "model_io: class '", cls_name, "' routes to tier index out of range");
     return idx;
   }
   const std::string& name = ref.as_string();
@@ -179,7 +179,7 @@ ClusterModel model_from_json(const Json& json) {
           "max_percentile_delay", std::numeric_limits<double>::infinity()));
       c.sla.percentile = sla.number_or("percentile", 0.95);
     }
-    require(cj.contains("route"), "model_io: class '" + c.name + "' needs a route");
+    require(cj.contains("route"), "model_io: class '", c.name, "' needs a route");
     for (const auto& step : cj.at("route").as_array()) {
       Demand d;
       d.tier = tier_index(step.at("tier"), tiers, c.name);

@@ -59,7 +59,7 @@ void require_stable(const ClusterModel& model,
   // The network analyzer scales demands before summing; right at rho = 1
   // its rounding can disagree with the per-tier sum above.
   require(model.stable_at(frequencies),
-          context + ": [CPM-L001] operating point is at the saturation boundary");
+          context, ": [CPM-L001] operating point is at the saturation boundary");
 }
 
 units::Seconds class_delay_floor(const ClusterModel& model, std::size_t k,

@@ -114,7 +114,7 @@ Scenario scenario_from_json(const Json& json) {
   require(json.is_object(), "scenario: document must be an object");
   const std::string schema = json.string_or("schema", "cpm-scenario/v1");
   require(schema == "cpm-scenario/v1",
-          "scenario: unsupported schema '" + schema + "'");
+          "scenario: unsupported schema '", schema, "'");
 
   Scenario s;
   s.horizon = json.number_or("horizon", s.horizon);
@@ -134,7 +134,7 @@ Scenario scenario_from_json(const Json& json) {
     for (const auto& b : s.arrivals)
       if (b.cls == a.cls) ++uses;
     require(uses == 1,
-            "scenario: class '" + a.cls + "' has multiple arrivals entries");
+            "scenario: class '", a.cls, "' has multiple arrivals entries");
   }
 
   if (json.contains("faults"))
@@ -220,7 +220,7 @@ std::vector<sim::FaultEvent> compile_faults(const Scenario& scenario,
     int station = -1;
     for (std::size_t i = 0; i < model.num_tiers(); ++i)
       if (model.tiers()[i].name == f.tier) station = static_cast<int>(i);
-    require(station >= 0, "scenario: fault names unknown tier '" + f.tier + "'");
+    require(station >= 0, "scenario: fault names unknown tier '", f.tier, "'");
     events.push_back(sim::FaultEvent{f.time, station, f.kind, f.value});
   }
   return events;

@@ -55,7 +55,7 @@ sim::SimConfig compile_scenario(const core::ClusterModel& model,
     for (const auto& c : model.classes())
       if (c.name == shape.cls) known = true;
     require(known,
-            "scenario: arrivals entry names unknown class '" + shape.cls + "'");
+            "scenario: arrivals entry names unknown class '", shape.cls, "'");
   }
 
   auto cfg = model.to_controlled_sim_config(controller.initial_frequencies(),

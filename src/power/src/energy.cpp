@@ -18,22 +18,25 @@ EnergyMetrics compute_energy(const std::vector<TierPower>& tiers,
   em.station_avg_power.resize(n_stations);
   em.per_request_energy.assign(n_classes, units::joules(0.0));
 
+  std::vector<units::Watts> dynamic(n_stations);
   for (std::size_t s = 0; s < n_stations; ++s) {
     const auto& t = tiers[s];
     const units::Watts per_server =
         t.server.average_power(t.frequency, net.station_utilization[s]);
     em.station_avg_power[s] = per_server * static_cast<double>(t.servers);
     em.cluster_avg_power += em.station_avg_power[s];
+    dynamic[s] = t.server.dynamic_power(t.frequency);
   }
 
   // Dynamic energy: each visit of class k to station s burns
-  // dynamic_power(f_s) * E[S] joules while holding a server.
+  // dynamic_power(f_s) * E[S] joules while holding a server (the product
+  // ServerPower::marginal_energy_per_request forms, with the power taken
+  // once per tier).
   for (std::size_t k = 0; k < n_classes; ++k) {
     for (const auto& v : classes[k].route) {
-      const auto s = static_cast<std::size_t>(v.station);
-      em.per_request_energy[k] +=
-          tiers[s].server.marginal_energy_per_request(
-              tiers[s].frequency, units::seconds(v.service.mean()));
+      const units::Seconds service = units::seconds(v.service.mean());
+      require(service >= units::seconds(0.0), "ServerPower: service time must be >= 0");
+      em.per_request_energy[k] += dynamic[static_cast<std::size_t>(v.station)] * service;
     }
   }
 

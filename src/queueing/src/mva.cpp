@@ -12,7 +12,7 @@ namespace {
 void validate_stations(const std::vector<ClosedStation>& stations) {
   require(!stations.empty(), "mva: need at least one station");
   for (const auto& s : stations)
-    require(s.servers >= 1, "mva: station '" + s.name + "' needs >= 1 server");
+    require(s.servers >= 1, "mva: station '", s.name, "' needs >= 1 server");
 }
 
 // Seidmann transform of one (station, demand) pair: returns the queueing
@@ -93,7 +93,7 @@ MvaResult approximate_mva(const std::vector<ClosedStation>& stations,
   for (std::size_t k = 0; k < kc; ++k) {
     require(demands[k].size() == m, "mva: demand row size mismatch");
     require(classes[k].population >= 1,
-            "mva: class '" + classes[k].name + "' population must be >= 1");
+            "mva: class '", classes[k].name, "' population must be >= 1");
     require(classes[k].think_time >= 0.0, "mva: negative think time");
     for (double d : demands[k]) require(d >= 0.0, "mva: demands must be >= 0");
   }

@@ -12,14 +12,14 @@ void validate_network(const std::vector<NetworkStation>& stations,
   require(!stations.empty(), "network: need at least one station");
   require(!classes.empty(), "network: need at least one class");
   for (const auto& s : stations)
-    require(s.servers >= 1, "network: station '" + s.name + "' needs >= 1 server");
+    require(s.servers >= 1, "network: station '", s.name, "' needs >= 1 server");
   for (const auto& c : classes) {
     require(c.rate >= units::per_second(0.0),
-            "network: class '" + c.name + "' has negative rate");
-    require(!c.route.empty(), "network: class '" + c.name + "' has empty route");
+            "network: class '", c.name, "' has negative rate");
+    require(!c.route.empty(), "network: class '", c.name, "' has empty route");
     for (const auto& v : c.route) {
       require(v.station >= 0 && static_cast<std::size_t>(v.station) < stations.size(),
-              "network: class '" + c.name + "' visits unknown station");
+              "network: class '", c.name, "' visits unknown station");
     }
   }
 }
@@ -28,14 +28,16 @@ namespace {
 
 // Per-station flow build: one merged flow per class that visits the
 // station, two-moment matched over its visits, plus the flow->class map.
+// Callers keep one buffer and refill it station by station.
 struct StationFlows {
   std::vector<ClassFlow> flows;          // ordered by class index (priority)
   std::vector<std::size_t> flow_class;   // class index of each flow
 };
 
-StationFlows flows_at_station(std::size_t station,
-                              const std::vector<CustomerClass>& classes) {
-  StationFlows out;
+void flows_at_station(std::size_t station, const std::vector<CustomerClass>& classes,
+                      StationFlows& out) {
+  out.flows.clear();
+  out.flow_class.clear();
   for (std::size_t k = 0; k < classes.size(); ++k) {
     const auto& cls = classes[k];
     double visits = 0.0;
@@ -68,7 +70,6 @@ StationFlows flows_at_station(std::size_t station,
     }
     out.flow_class.push_back(k);
   }
-  return out;
 }
 
 }  // namespace
@@ -77,8 +78,9 @@ std::vector<double> network_utilizations(const std::vector<NetworkStation>& stat
                                          const std::vector<CustomerClass>& classes) {
   validate_network(stations, classes);
   std::vector<double> util(stations.size(), 0.0);
+  StationFlows sf;
   for (std::size_t s = 0; s < stations.size(); ++s) {
-    const StationFlows sf = flows_at_station(s, classes);
+    flows_at_station(s, classes, sf);
     if (!sf.flows.empty()) util[s] = station_utilization(stations[s].servers, sf.flows);
   }
   return util;
@@ -86,9 +88,17 @@ std::vector<double> network_utilizations(const std::vector<NetworkStation>& stat
 
 bool network_stable(const std::vector<NetworkStation>& stations,
                     const std::vector<CustomerClass>& classes) {
-  for (double u : network_utilizations(stations, classes))
-    if (u >= 1.0) return false;
-  return true;
+  // network_utilizations without the vector: every station is still built,
+  // so a station that cannot be built throws exactly as it does there.
+  validate_network(stations, classes);
+  bool stable = true;
+  StationFlows sf;
+  for (std::size_t s = 0; s < stations.size(); ++s) {
+    flows_at_station(s, classes, sf);
+    if (!sf.flows.empty() && station_utilization(stations[s].servers, sf.flows) >= 1.0)
+      stable = false;
+  }
+  return stable;
 }
 
 NetworkMetrics analyze_network(const std::vector<NetworkStation>& stations,
@@ -107,8 +117,9 @@ NetworkMetrics analyze_network(const std::vector<NetworkStation>& stations,
   m.station_utilization.assign(n_stations, 0.0);
 
   // Analyse each station independently and scatter per-class waits.
+  StationFlows sf;
   for (std::size_t s = 0; s < n_stations; ++s) {
-    const StationFlows sf = flows_at_station(s, classes);
+    flows_at_station(s, classes, sf);
     if (sf.flows.empty()) continue;
     const StationMetrics sm =
         analyze_station(stations[s].servers, stations[s].discipline, sf.flows);

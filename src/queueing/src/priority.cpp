@@ -40,12 +40,28 @@ struct Aggregate {
   double rho = 0.0;     // per-server utilisation
 };
 
-Aggregate aggregate_flows(int servers, const std::vector<ClassFlow>& flows) {
+// One class's rate and first two service moments: all that the
+// single-server formulas read.
+struct FlowMoments {
+  double rate;
+  double mean;
+  double m2;
+};
+
+FlowMoments moments_of(const ClassFlow& f) {
+  return {f.rate.value(), f.service.mean(), f.service.second_moment()};
+}
+
+// `at(k)` yields class k's FlowMoments, so the same code aggregates the
+// station's own flows and the scaled Bondi-Buzen reference system.
+template <typename At>
+Aggregate aggregate_flows(int servers, std::size_t k_classes, const At& at) {
   Aggregate a;
-  for (const auto& f : flows) {
-    a.lambda += f.rate.value();
-    a.es += f.rate.value() * f.service.mean();
-    a.es2 += f.rate.value() * f.service.second_moment();
+  for (std::size_t k = 0; k < k_classes; ++k) {
+    const FlowMoments f = at(k);
+    a.lambda += f.rate;
+    a.es += f.rate * f.mean;
+    a.es2 += f.rate * f.m2;
   }
   a.rho = a.es / static_cast<double>(servers);
   if (a.lambda > 0.0) {
@@ -55,36 +71,37 @@ Aggregate aggregate_flows(int servers, const std::vector<ClassFlow>& flows) {
   return a;
 }
 
-// Single-server per-class "delay beyond own service" for each discipline.
-// Class 0 is highest priority. Exact formulas:
+// P-K mean wait of a single FCFS server, identical across classes.
+double fcfs_single_server_wait(const Aggregate& agg) {
+  return agg.lambda > 0.0 ? agg.lambda * agg.es2 / (2.0 * (1.0 - agg.rho)) : 0.0;
+}
+
+// Single-server per-class "delay beyond own service" for each discipline,
+// written to delay[0..k_classes). `agg` is aggregate_flows(1, ...) of the
+// same flows. Class 0 is highest priority. Exact formulas:
 //   FCFS:   P-K wait, identical across classes.
 //   NP:     Cobham, W_k = R / ((1 - s_{k-1})(1 - s_k)), R = sum l_i E[S_i^2]/2.
 //   PR:     T_k = E[S_k]/(1 - s_{k-1})
 //               + (sum_{i<=k} l_i E[S_i^2]/2) / ((1 - s_{k-1})(1 - s_k)),
 //           delay_k = T_k - E[S_k].
 //   PS:     T_k = E[S_k]/(1 - rho), delay_k = T_k - E[S_k].
-std::vector<double> single_server_delays(Discipline d,
-                                         const std::vector<ClassFlow>& flows) {
-  const std::size_t k_classes = flows.size();
-  std::vector<double> delay(k_classes, 0.0);
-  const Aggregate agg = aggregate_flows(1, flows);
+template <typename At>
+void single_server_delays(Discipline d, std::size_t k_classes, const At& at,
+                          const Aggregate& agg, std::vector<double>& delay) {
   require(agg.rho < 1.0, "analyze_station: unstable station (rho >= 1)");
 
   switch (d) {
     case Discipline::kFcfs: {
-      const double wq =
-          agg.lambda > 0.0
-              ? agg.lambda * agg.es2 / (2.0 * (1.0 - agg.rho))
-              : 0.0;
-      for (auto& w : delay) w = wq;
+      const double wq = fcfs_single_server_wait(agg);
+      for (std::size_t k = 0; k < k_classes; ++k) delay[k] = wq;
       break;
     }
     case Discipline::kNonPreemptivePriority: {
       double r = 0.0;  // mean residual work: sum l_i E[S_i^2] / 2 over ALL classes
-      for (const auto& f : flows) r += f.rate.value() * f.service.second_moment() / 2.0;
+      for (std::size_t k = 0; k < k_classes; ++k) r += at(k).rate * at(k).m2 / 2.0;
       double sigma_prev = 0.0;
       for (std::size_t k = 0; k < k_classes; ++k) {
-        const double sigma_k = sigma_prev + flows[k].rate.value() * flows[k].service.mean();
+        const double sigma_k = sigma_prev + at(k).rate * at(k).mean;
         require(sigma_k < 1.0, "analyze_station: priority levels saturate");
         delay[k] = r / ((1.0 - sigma_prev) * (1.0 - sigma_k));
         sigma_prev = sigma_k;
@@ -95,26 +112,25 @@ std::vector<double> single_server_delays(Discipline d,
       double r_upto = 0.0;  // residual work of classes 0..k only
       double sigma_prev = 0.0;
       for (std::size_t k = 0; k < k_classes; ++k) {
-        const double es_k = flows[k].service.mean();
-        const double sigma_k = sigma_prev + flows[k].rate.value() * es_k;
+        const FlowMoments f = at(k);
+        const double sigma_k = sigma_prev + f.rate * f.mean;
         require(sigma_k < 1.0, "analyze_station: priority levels saturate");
-        r_upto += flows[k].rate.value() * flows[k].service.second_moment() / 2.0;
-        const double sojourn = es_k / (1.0 - sigma_prev) +
+        r_upto += f.rate * f.m2 / 2.0;
+        const double sojourn = f.mean / (1.0 - sigma_prev) +
                                r_upto / ((1.0 - sigma_prev) * (1.0 - sigma_k));
-        delay[k] = sojourn - es_k;
+        delay[k] = sojourn - f.mean;
         sigma_prev = sigma_k;
       }
       break;
     }
     case Discipline::kProcessorSharing: {
       for (std::size_t k = 0; k < k_classes; ++k) {
-        const double es_k = flows[k].service.mean();
+        const double es_k = at(k).mean;
         delay[k] = es_k / (1.0 - agg.rho) - es_k;
       }
       break;
     }
   }
-  return delay;
 }
 
 // M/G/c FCFS mean wait via Lee-Longton: (1 + SCV)/2 times the M/M/c wait at
@@ -136,6 +152,7 @@ StationMetrics analyze_station(int servers, Discipline discipline,
     require(f.rate.value() >= 0.0, "analyze_station: negative arrival rate");
 
   const std::size_t k_classes = flows.size();
+  const auto own = [&flows](std::size_t k) { return moments_of(flows[k]); };
   StationMetrics m;
   m.mean_wait.resize(k_classes);
   m.mean_sojourn.resize(k_classes);
@@ -145,48 +162,54 @@ StationMetrics analyze_station(int servers, Discipline discipline,
   m.rho.resize(k_classes);
   for (std::size_t k = 0; k < k_classes; ++k)
     m.rho[k] = flows[k].rate.value() * flows[k].service.mean() / static_cast<double>(servers);
-  m.total_utilization = station_utilization(servers, flows);
+  // The station's aggregate, computed once; its rho is station_utilization.
+  const Aggregate agg = aggregate_flows(servers, k_classes, own);
+  m.total_utilization = agg.rho;
   require(m.total_utilization < 1.0, "analyze_station: unstable station (rho >= 1)");
 
-  std::vector<double> delay(k_classes, 0.0);
+  // Per-class delay beyond service, built in place in mean_wait.
+  std::vector<double>& delay = m.mean_wait;
   if (servers == 1) {
-    delay = single_server_delays(discipline, flows);
+    single_server_delays(discipline, k_classes, own, agg, delay);
+  } else if (discipline == Discipline::kProcessorSharing) {
+    // PS multi-server approximation: treat the c servers as one PS server
+    // that is c times faster for the contention factor. We use the
+    // simple insensitive bound T_k = E[S_k] + E[S_k] * Wq-factor with the
+    // M/M/c congestion term, matching the single-class M/M/c in the
+    // exponential case reasonably.
+    const double wq_factor =
+        agg.lambda > 0.0 ? mmc_mean_wait(servers, agg.lambda, 1.0 / agg.es) / agg.es
+                         : 0.0;
+    for (std::size_t k = 0; k < k_classes; ++k)
+      delay[k] = flows[k].service.mean() * wq_factor;
+  } else if (discipline == Discipline::kFcfs) {
+    const double wq = mgc_fcfs_wait(servers, agg);
+    for (auto& w : delay) w = wq;
   } else {
-    const Aggregate agg = aggregate_flows(servers, flows);
-    if (discipline == Discipline::kProcessorSharing) {
-      // PS multi-server approximation: treat the c servers as one PS server
-      // that is c times faster for the contention factor. We use the
-      // simple insensitive bound T_k = E[S_k] + E[S_k] * Wq-factor with the
-      // M/M/c congestion term, matching the single-class M/M/c in the
-      // exponential case reasonably.
-      const double wq_factor =
-          agg.lambda > 0.0 ? mmc_mean_wait(servers, agg.lambda, 1.0 / agg.es) / agg.es
-                           : 0.0;
-      for (std::size_t k = 0; k < k_classes; ++k)
-        delay[k] = flows[k].service.mean() * wq_factor;
-    } else if (discipline == Discipline::kFcfs) {
-      const double wq = mgc_fcfs_wait(servers, agg);
-      for (auto& w : delay) w = wq;
-    } else {
-      // Bondi-Buzen scaling: per-class priority delay at c servers =
-      // (single-server priority delay / single-server FCFS delay) x
-      // (M/G/c FCFS delay). The single-server reference system divides
-      // every service time by c so that it is stable whenever the real
-      // station is.
-      std::vector<ClassFlow> scaled;
-      scaled.reserve(k_classes);
-      const double inv_c = 1.0 / static_cast<double>(servers);
-      for (const auto& f : flows) {
-        ClassFlow g{f.rate, f.service.scaled_to_mean(f.service.mean() * inv_c)};
-        scaled.push_back(std::move(g));
-      }
-      const std::vector<double> prio1 = single_server_delays(discipline, scaled);
-      const std::vector<double> fcfs1 = single_server_delays(Discipline::kFcfs, scaled);
-      const double wq_c = mgc_fcfs_wait(servers, agg);
-      for (std::size_t k = 0; k < k_classes; ++k) {
-        delay[k] = fcfs1[k] > 0.0 ? wq_c * prio1[k] / fcfs1[k] : 0.0;
-      }
+    // Bondi-Buzen scaling: per-class priority delay at c servers =
+    // (single-server priority delay / single-server FCFS delay) x
+    // (M/G/c FCFS delay). The single-server reference system divides
+    // every service time by c so that it is stable whenever the real
+    // station is. Its service moments are staged in mean_sojourn and
+    // wait_m2, which are written for real only further down.
+    std::vector<double>& ref_mean = m.mean_sojourn;
+    std::vector<double>& ref_m2 = m.wait_m2;
+    const double inv_c = 1.0 / static_cast<double>(servers);
+    for (std::size_t k = 0; k < k_classes; ++k) {
+      const Distribution& s = flows[k].service;
+      const Distribution scaled = s.scaled_to_mean(s.mean() * inv_c);
+      ref_mean[k] = scaled.mean();
+      ref_m2[k] = scaled.second_moment();
     }
+    const auto ref = [&](std::size_t k) {
+      return FlowMoments{flows[k].rate.value(), ref_mean[k], ref_m2[k]};
+    };
+    const Aggregate ref_agg = aggregate_flows(1, k_classes, ref);
+    single_server_delays(discipline, k_classes, ref, ref_agg, delay);  // prio1
+    const double fcfs1 = fcfs_single_server_wait(ref_agg);
+    const double wq_c = mgc_fcfs_wait(servers, agg);
+    for (std::size_t k = 0; k < k_classes; ++k)
+      delay[k] = fcfs1 > 0.0 ? wq_c * delay[k] / fcfs1 : 0.0;
   }
 
   // Second moment of the wait. Exact (Takács) for single-server FCFS:
@@ -211,18 +234,14 @@ StationMetrics analyze_station(int servers, Discipline discipline,
       m.wait_m2[k] = 2.0 * delay[k] * delay[k] + tail;
   } else {
     double q = m.total_utilization;
-    if (servers > 1) {
-      const Aggregate agg = aggregate_flows(servers, flows);
-      if (agg.lambda > 0.0 && agg.es > 0.0)
-        q = erlang_c(servers, agg.lambda * agg.es);
-    }
+    if (servers > 1 && agg.lambda > 0.0 && agg.es > 0.0)
+      q = erlang_c(servers, agg.lambda * agg.es);
     const double q_safe = std::max(q, 1e-12);
     for (std::size_t k = 0; k < k_classes; ++k)
       m.wait_m2[k] = 2.0 * delay[k] * delay[k] / q_safe;
   }
 
   for (std::size_t k = 0; k < k_classes; ++k) {
-    m.mean_wait[k] = delay[k];
     m.mean_sojourn[k] = delay[k] + flows[k].service.mean();
     m.mean_queue_len[k] = flows[k].rate.value() * delay[k];
     m.mean_in_system[k] = flows[k].rate.value() * m.mean_sojourn[k];

@@ -54,8 +54,8 @@ FaultPlan fault_plan_from_json(const Json& doc) {
     FaultRule rule;
     rule.op = r.string_or("op", "*");
     require(known_op(rule.op),
-            "fault plan: unknown op '" + rule.op +
-                "' (expected *|read|write|append|remove|mkdir|list)");
+            "fault plan: unknown op '", rule.op,
+            "' (expected *|read|write|append|remove|mkdir|list)");
     rule.path = r.string_or("path", "");
     rule.kind = fault_kind_from_name(r.string_or("kind", "eio"));
     double after = r.number_or("after", 0.0);

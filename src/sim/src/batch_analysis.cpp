@@ -42,9 +42,9 @@ BatchAnalysisResult batch_means_analysis(const SimConfig& config,
     auto& out = result.classes[k];
     const auto& means = batches[k].batch_means();
     require(means.size() >= 2,
-            "batch_means_analysis: class '" + config.classes[k].name +
-                "' completed fewer than 2 batches; lengthen the run or "
-                "shrink batch_size");
+            "batch_means_analysis: class '", config.classes[k].name,
+            "' completed fewer than 2 batches; lengthen the run or "
+            "shrink batch_size");
     out.batches = means.size();
     out.mean_e2e_delay = confidence_interval(means, options.confidence);
     out.lag1_autocorrelation = lag1_autocorrelation(means);

@@ -16,32 +16,32 @@ void validate_config(const SimConfig& config) {
   require(!config.classes.empty(), "sim: need at least one class");
   require(config.end_time > config.warmup_time, "sim: end_time must exceed warmup");
   for (const auto& s : config.stations) {
-    require(s.servers >= 1, "sim: station '" + s.name + "' needs >= 1 server");
+    require(s.servers >= 1, "sim: station '", s.name, "' needs >= 1 server");
     require(s.idle_watts >= units::watts(0.0) &&
                 s.dynamic_watts >= units::watts(0.0),
-            "sim: station '" + s.name + "' has negative power");
-    require(s.speed > 0.0, "sim: station '" + s.name + "' needs positive speed");
+            "sim: station '", s.name, "' has negative power");
+    require(s.speed > 0.0, "sim: station '", s.name, "' needs positive speed");
     require(s.capacity == -1 || s.capacity >= s.servers,
-            "sim: station '" + s.name + "' capacity below server count");
+            "sim: station '", s.name, "' capacity below server count");
   }
   for (const auto& c : config.classes) {
     require(c.rate >= units::per_second(0.0),
-            "sim: class '" + c.name + "' has negative rate");
-    require(c.population >= 0, "sim: class '" + c.name + "' negative population");
+            "sim: class '", c.name, "' has negative rate");
+    require(c.population >= 0, "sim: class '", c.name, "' negative population");
     require(!(c.population > 0 && c.schedule),
-            "sim: class '" + c.name + "' cannot be both closed and scheduled");
+            "sim: class '", c.name, "' cannot be both closed and scheduled");
     require(!(c.population > 0 && !c.arrival_times.empty()),
-            "sim: class '" + c.name + "' cannot be both closed and trace-driven");
+            "sim: class '", c.name, "' cannot be both closed and trace-driven");
     for (std::size_t i = 0; i < c.arrival_times.size(); ++i) {
       require(c.arrival_times[i] >= 0.0 &&
                   (i == 0 || c.arrival_times[i] >= c.arrival_times[i - 1]),
-              "sim: class '" + c.name + "' trace must be sorted and >= 0");
+              "sim: class '", c.name, "' trace must be sorted and >= 0");
     }
-    require(!c.route.empty(), "sim: class '" + c.name + "' has empty route");
+    require(!c.route.empty(), "sim: class '", c.name, "' has empty route");
     for (const auto& v : c.route)
       require(v.station >= 0 &&
                   static_cast<std::size_t>(v.station) < config.stations.size(),
-              "sim: class '" + c.name + "' visits unknown station");
+              "sim: class '", c.name, "' visits unknown station");
   }
   require(config.sla_thresholds.empty() ||
               config.sla_thresholds.size() == config.classes.size(),

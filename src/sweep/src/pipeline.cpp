@@ -34,7 +34,7 @@ std::size_t class_index(const core::ClusterModel& model,
 int as_positive_int(double v, const std::string& what) {
   const double rounded = std::floor(v);
   require(rounded == v && v >= 1.0,  // conv-ok: CONV-5 (integrality test)
-          "sweep: " + what + " must be a positive integer");
+          "sweep: ", what, " must be a positive integer");
   return static_cast<int>(rounded);
 }
 

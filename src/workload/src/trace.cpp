@@ -44,7 +44,7 @@ ArrivalTrace ArrivalTrace::parse_csv(const std::string& text) {
     }
     header_allowed = false;
     require(std::isfinite(t) && t >= 0.0,
-            "trace: line " + std::to_string(line_no) + ": bad timestamp");
+            "trace: line ", line_no, ": bad timestamp");
     times.push_back(t);
   }
   return from_timestamps(std::move(times));

@@ -96,6 +96,20 @@ TEST(ComputeEnergy, SizeMismatchThrows) {
   EXPECT_THROW(compute_energy(too_few, s.classes, s.net), Error);
 }
 
+TEST(ComputeEnergy, FrequencyOutsideDvfsRangeThrows) {
+  const EnergyCase s = make_two_tier();
+  for (const double f : {0.4, 1.1}) {
+    std::vector<TierPower> tiers = s.tiers;
+    tiers[1].frequency = units::hertz(f);
+    try {
+      (void)compute_energy(tiers, s.classes, s.net);
+      ADD_FAILURE() << "no throw at frequency " << f;
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "ServerPower: frequency outside DVFS range");
+    }
+  }
+}
+
 TEST(ComputeEnergy, IdleStationStillDrawsIdlePower) {
   std::vector<NetworkStation> stations = {
       NetworkStation{"used", 1, Discipline::kFcfs},

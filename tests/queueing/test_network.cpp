@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
 
+#include "cpm/check/generator.hpp"
 #include "cpm/common/error.hpp"
 #include "cpm/queueing/basic.hpp"
 
@@ -12,6 +16,17 @@ namespace {
 
 NetworkStation fcfs_station(const std::string& name, int servers = 1) {
   return NetworkStation{name, servers, Discipline::kFcfs};
+}
+
+// The cpm::Error message `f` throws, or "<no throw>".
+template <typename F>
+std::string error_message(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "<no throw>";
 }
 
 TEST(ValidateNetwork, CatchesMalformedInput) {
@@ -33,6 +48,62 @@ TEST(ValidateNetwork, CatchesMalformedInput) {
 
   EXPECT_THROW(validate_network({}, classes), Error);
   EXPECT_THROW(validate_network(stations, {}), Error);
+}
+
+TEST(ValidateNetwork, MessagesAreExact) {
+  const std::vector<NetworkStation> stations = {fcfs_station("web")};
+  const auto cls = [](double rate, std::vector<Visit> route) {
+    return std::vector<CustomerClass>{
+        CustomerClass{"gold", units::per_second(rate), std::move(route)}};
+  };
+  const auto good = cls(1.0, {Visit{0, Distribution::exponential(0.1)}});
+  const std::vector<std::pair<std::string, std::function<void()>>> cases = {
+      {"network: need at least one station", [&] { validate_network({}, good); }},
+      {"network: need at least one class", [&] { validate_network(stations, {}); }},
+      {"network: station 'db' needs >= 1 server",
+       [&] { validate_network({fcfs_station("web"), fcfs_station("db", 0)}, good); }},
+      {"network: class 'gold' has negative rate",
+       [&] { validate_network(stations, cls(-1.0, {Visit{0, Distribution::exponential(0.1)}})); }},
+      {"network: class 'gold' has empty route",
+       [&] { validate_network(stations, cls(1.0, {})); }},
+      {"network: class 'gold' visits unknown station",
+       [&] { validate_network(stations, cls(1.0, {Visit{1, Distribution::exponential(0.1)}})); }},
+  };
+  for (const auto& [message, call] : cases) EXPECT_EQ(error_message(call), message);
+
+  // Every network entry point validates first, with the same message.
+  const auto no_route = cls(1.0, {});
+  const std::string expected = "network: class 'gold' has empty route";
+  EXPECT_EQ(error_message([&] { (void)network_stable(stations, no_route); }), expected);
+  EXPECT_EQ(error_message([&] { (void)network_utilizations(stations, no_route); }), expected);
+  EXPECT_EQ(error_message([&] { (void)analyze_network(stations, no_route); }), expected);
+}
+
+TEST(NetworkStable, MatchesUtilizationsOverGeneratorCorpus) {
+  // network_stable(x) == all(u < 1 for u in network_utilizations(x)) on
+  // random models at light to overloaded rate scales and at both ends of
+  // the DVFS range, so both answers occur many times.
+  check::ModelGenerator gen(2011);
+  int stable = 0;
+  int unstable = 0;
+  for (int i = 0; i < 200; ++i) {
+    const core::ClusterModel base = gen.next();
+    for (const double scale : {0.5, 1.0, 1.4, 2.0}) {
+      const core::ClusterModel model = base.with_rate_scale(scale);
+      for (const auto& freq : {model.max_frequencies(), model.min_frequencies()}) {
+        const auto stations = model.network_stations();
+        const auto classes = model.network_classes(freq);
+        bool all_below_one = true;
+        for (const double u : network_utilizations(stations, classes))
+          if (u >= 1.0) all_below_one = false;
+        ASSERT_EQ(network_stable(stations, classes), all_below_one)
+            << "model " << i << ", rate scale " << scale;
+        ++(all_below_one ? stable : unstable);
+      }
+    }
+  }
+  EXPECT_GT(stable, 100);
+  EXPECT_GT(unstable, 100);
 }
 
 TEST(AnalyzeNetwork, SingleStationMatchesMm1) {

@@ -79,6 +79,17 @@ smoothing factors, percentiles) and policy-sanctioned raw containers
   UNIT-3  dimension-named function RETURNING raw double.
   UNIT-4  dimension-named std::vector<double> parameter or field.
 
+Performance rule (PERF): a require() check runs on every call, so its
+message must cost nothing until it is thrown:
+
+  PERF-1  library code must not build a require() message with `+`:
+          the std::string is allocated and concatenated before the
+          condition is tested, on every call. Pass the pieces instead —
+          require(cond, "station '", name, "' needs >= 1 server") joins
+          them only when it throws. The check spans the whole call, so
+          multi-line messages are caught; the report names the line of
+          `require(`, which is where a waiver goes.
+
 All rules skip comments and string/char literals (a "std::cout" inside a
 doc string is prose, not a violation) — except the %p half of DET-5,
 which by nature lives inside format strings and is matched there.
@@ -418,6 +429,7 @@ RULE_HELP = {
             "cpm::FileSystem seam",
     "IO-2": "No raw filesystem mutation in library code — use the "
             "cpm::FileSystem seam",
+    "PERF-1": "No string concatenation in a require() message",
     "UNIT-1": "Dimension-named double parameters in src/ headers use "
               "cpm::units",
     "UNIT-2": "Dimension-named double fields in src/ headers use cpm::units",
@@ -426,6 +438,46 @@ RULE_HELP = {
     "UNIT-4": "Dimension-named vector<double> in src/ headers uses "
               "cpm::units (or a boundary-policy waiver)",
 }
+
+
+# PERF-1: the require( call, its argument list split at top-level commas
+# in the code view (literal contents are blanked there, so commas and
+# parentheses inside messages do not count).
+REQUIRE_CALL = re.compile(r"(?<![\w.>])require\s*\(")
+PERF1_MESSAGE = (
+    "require() message built with '+': the string is allocated on every "
+    "call, thrown or not — pass the pieces as extra arguments "
+    "(require(cond, \"a '\", name, \"' b\")) so they are joined only on "
+    "failure")
+
+
+def call_arguments(text: str, open_paren: int) -> list[str]:
+    """Top-level arguments of the call whose '(' is at `open_paren`."""
+    args, depth, start = [], 0, open_paren + 1
+    for i in range(open_paren, len(text)):
+        c = text[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+            if depth == 0:
+                args.append(text[start:i])
+                return args
+        elif c == "," and depth == 1:
+            args.append(text[start:i])
+            start = i + 1
+    return args
+
+
+def perf1_lines(code_lines: list[str]) -> list[int]:
+    """1-based lines of require() calls whose message uses '+'."""
+    text = "\n".join(code_lines)
+    out = []
+    for m in REQUIRE_CALL.finditer(text):
+        message = call_arguments(text, m.end() - 1)[1:]
+        if any("+" in arg for arg in message):
+            out.append(text.count("\n", 0, m.start()) + 1)
+    return out
 
 
 def waived(raw_line: str, rule: str) -> bool:
@@ -475,6 +527,12 @@ def lint_file(path: Path, in_library: bool) -> list[Violation]:
 
     unordered = unordered_names(code_lines) if in_library else set()
     io_sanctioned = path.as_posix().endswith(IO_SANCTIONED_SUFFIXES)
+
+    if in_library:
+        violations.extend(
+            Violation(path, lineno, "PERF-1", PERF1_MESSAGE)
+            for lineno in perf1_lines(code_lines)
+            if not waived(raw_lines[lineno - 1], "PERF-1"))
 
     for lineno, raw in enumerate(raw_lines, start=1):
         code = code_lines[lineno - 1]
