@@ -14,8 +14,8 @@ namespace cpm::bench {
 namespace {
 
 /// p1 — library micro/meso benchmarks: the simulator hot path, the event
-/// queue, the analytic evaluator and its per-station kernel, the
-/// replication pool and the P-E and P-C optimizers.
+/// queue, the analytic evaluator, its per-station kernel and its layers,
+/// the replication pool and the P-E and P-C optimizers.
 std::vector<BenchCase> p1_suite(const BenchOptions& options) {
   // Everything runs the shared enterprise scenario so numbers line up
   // with the E/A experiment binaries. Quick cases are sized to >= ~20 ms
@@ -28,6 +28,7 @@ std::vector<BenchCase> p1_suite(const BenchOptions& options) {
   const int optimizer_solves = options.quick ? 1 : 5;
   const int cost_solves = options.quick ? 10 : 50;
   const int station_rounds = options.quick ? 25000 : 250000;
+  const int layer_rounds = options.quick ? 25000 : 250000;
   const std::uint64_t seed = validation_settings().seed;
 
   std::vector<BenchCase> cases;
@@ -123,6 +124,58 @@ std::vector<BenchCase> p1_suite(const BenchOptions& options) {
           rec.count("analyses", station_rounds);
         }});
   }
+
+  // The layers under analytic_evaluate, each timed alone on the
+  // enterprise model at load 0.7 and full speed: stability, station
+  // decomposition, the E2E percentile of every class, and energy.
+  struct LayerInputs {
+    std::vector<queueing::NetworkStation> stations;
+    std::vector<queueing::CustomerClass> classes;
+    queueing::NetworkMetrics net;
+    std::vector<power::TierPower> tiers;
+  };
+  const auto layer_inputs = [] {
+    const auto model = core::make_enterprise_model(0.7);
+    const auto f = model.max_frequencies();
+    LayerInputs in{model.network_stations(), model.network_classes(f), {},
+                   model.tier_power(f)};
+    in.net = queueing::analyze_network(in.stations, in.classes);
+    return in;
+  };
+  // `scale` multiplies layer_rounds so the cheap layers also run >= ~20 ms.
+  const auto layer_case = [layer_rounds, layer_inputs](
+                              std::string name, const char* unit, int scale,
+                              double (*layer)(const LayerInputs&)) {
+    const int rounds = layer_rounds * scale;
+    return BenchCase{std::move(name), [=](Recorder& rec) {
+                       const LayerInputs in = layer_inputs();
+                       double sink = 0.0;
+                       for (int i = 0; i < rounds; ++i) sink += layer(in);
+                       require(sink > 0.0, "analytic layer: degenerate result");
+                       rec.count(unit, rounds);
+                     }};
+  };
+  cases.push_back(layer_case(
+      "analytic_network_stable", "calls", 4, [](const LayerInputs& in) {
+        return queueing::network_stable(in.stations, in.classes) ? 1.0 : 0.0;
+      }));
+  cases.push_back(layer_case(
+      "analytic_analyze_network", "calls", 1, [](const LayerInputs& in) {
+        return queueing::analyze_network(in.stations, in.classes)
+            .mean_e2e_delay.value();
+      }));
+  cases.push_back(layer_case(
+      "analytic_percentile", "rounds", 1, [](const LayerInputs& in) {
+        double sum = 0.0;
+        for (std::size_t k = 0; k < in.classes.size(); ++k)
+          sum += queueing::percentile_e2e_delay(in.net, k, 0.95).value();
+        return sum;
+      }));
+  cases.push_back(layer_case(
+      "analytic_compute_energy", "calls", 8, [](const LayerInputs& in) {
+        return power::compute_energy(in.tiers, in.classes, in.net)
+            .cluster_avg_power.value();
+      }));
 
   return cases;
 }

@@ -90,7 +90,7 @@ TEST(Suites, P1IsKnownAndOthersAreRejected) {
   EXPECT_THROW(make_suite("nope", opt), Error);
   // Case list is stable: the CI gate matches cases by name.
   const auto cases = make_suite("p1", opt);
-  ASSERT_EQ(cases.size(), 9u);
+  ASSERT_EQ(cases.size(), 13u);
   EXPECT_EQ(cases[0].name, "sim_event_throughput");
   EXPECT_EQ(cases[1].name, "event_queue_schedule_run");
   EXPECT_EQ(cases[2].name, "analytic_evaluate");
@@ -100,6 +100,10 @@ TEST(Suites, P1IsKnownAndOthersAreRejected) {
   EXPECT_EQ(cases[6].name, "station_analysis_2_classes");
   EXPECT_EQ(cases[7].name, "station_analysis_8_classes");
   EXPECT_EQ(cases[8].name, "station_analysis_32_classes");
+  EXPECT_EQ(cases[9].name, "analytic_network_stable");
+  EXPECT_EQ(cases[10].name, "analytic_analyze_network");
+  EXPECT_EQ(cases[11].name, "analytic_percentile");
+  EXPECT_EQ(cases[12].name, "analytic_compute_energy");
 }
 
 TEST(Suites, QuickP1RunsEndToEnd) {
@@ -108,7 +112,7 @@ TEST(Suites, QuickP1RunsEndToEnd) {
   opt.warmup = 0;
   opt.repeats = 1;
   const auto r = run_named_suite("p1", opt);
-  ASSERT_EQ(r.cases.size(), 9u);
+  ASSERT_EQ(r.cases.size(), 13u);
   for (const auto& c : r.cases) {
     EXPECT_GT(c.wall_seconds.median, 0.0) << c.name;
     EXPECT_FALSE(c.rates.empty()) << c.name;

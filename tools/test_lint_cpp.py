@@ -353,6 +353,57 @@ class IoRulesTest(unittest.TestCase):
             "std::ofstream f(p);  // conv-ok: IO-1\n"))
 
 
+class Perf1Test(unittest.TestCase):
+    def test_trigger_single_line(self):
+        self.assertEqual(["PERF-1"], lint_src(
+            'void f(const S& s) { require(s.ok, "station \'" + s.name + "\'"); }\n'))
+
+    def test_trigger_multi_line_reports_the_require_line(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "snippet.cpp"
+            path.write_text(
+                "void f(const S& s) {\n"
+                "  require(s.ok,\n"
+                "          \"class '\" + s.name +\n"
+                "              \"' has empty route\");\n"
+                "}\n", encoding="utf-8")
+            found = [(v.rule, v.line) for v in lint_cpp.lint_file(path, True)]
+        self.assertEqual([("PERF-1", 2)], found)
+
+    def test_trigger_string_variable_and_qualified_call(self):
+        self.assertIn("PERF-1", lint_src(
+            'void f(const std::string& ctx, bool ok) '
+            '{ cpm::require(ok, ctx + ": failed"); }\n'))
+
+    def test_near_miss_lazy_parts_and_plus_in_condition(self):
+        self.assertEqual([], lint_src(
+            'void f(const S& s) {\n'
+            '  require(s.ok, "station \'", s.name, "\' needs >= 1 server");\n'
+            '  require(s.a + s.b < 1.0, "sum must stay below 1");\n'
+            '  require(g(s.a, s.b + 1) > 0, "g must be positive");\n'
+            '  require(s.ok, "a + b in prose is not concatenation");\n'
+            '}\n'))
+
+    def test_near_miss_other_functions(self):
+        self.assertEqual([], lint_src(
+            'void f(const S& s) {\n'
+            '  require_stable(model, ctx + ": probe");\n'
+            '  checker.require(s.ok, "a" + s.name);\n'
+            '  throw Error("thrown messages may concatenate: " + s.name);\n'
+            '}\n'))
+
+    def test_waiver_canary(self):
+        self.assertEqual([], lint_src(
+            'void f(const S& s) {\n'
+            '  require(s.ok, "a" + s.name);  // conv-ok: PERF-1\n'
+            '}\n'))
+
+    def test_out_of_scope_in_tests(self):
+        self.assertEqual([], lint_src(
+            'void f(const S& s) { require(s.ok, "a" + s.name); }\n',
+            in_library=False))
+
+
 class WaiverMechanismTest(unittest.TestCase):
     def test_comma_separated_waivers(self):
         line = ("bool f(double x) { assert(x == 1.5); return true; }"
