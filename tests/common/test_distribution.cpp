@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -93,6 +94,10 @@ struct FamilyCase {
   std::string label;
   Distribution dist;
 };
+
+// Without this, gtest prints the parameter as raw bytes, which include the
+// string's heap address, and the discovered ctest names change per build.
+void PrintTo(const FamilyCase& fc, std::ostream* os) { *os << fc.label; }
 
 class SamplingMatchesMoments : public ::testing::TestWithParam<FamilyCase> {};
 
