@@ -13,8 +13,8 @@ namespace cpm::bench {
 
 namespace {
 
-/// p1 — library micro/meso benchmarks: the simulator hot path, the event
-/// queue, the analytic evaluator, its per-station kernel and its layers,
+/// p1 — library micro/meso benchmarks: the simulator hot path, the
+/// analytic evaluator, its per-station kernel and its layers,
 /// the replication pool and the P-E and P-C optimizers.
 std::vector<BenchCase> p1_suite(const BenchOptions& options) {
   // Everything runs the shared enterprise scenario so numbers line up
@@ -22,7 +22,6 @@ std::vector<BenchCase> p1_suite(const BenchOptions& options) {
   // each: shorter runs put scheduler jitter on shared runners at the
   // same magnitude as the regression tolerance and the CI gate flakes.
   const double sim_horizon = options.quick ? 2000.0 : 20000.0;
-  const int queue_events = options.quick ? 100000 : 1000000;
   const int analytic_rounds = options.quick ? 500 : 5000;
   const int replications = options.quick ? 8 : 16;
   const int optimizer_solves = options.quick ? 1 : 5;
@@ -40,16 +39,6 @@ std::vector<BenchCase> p1_suite(const BenchOptions& options) {
             model.to_sim_config(model.max_frequencies(), 0.0, sim_horizon, seed);
         const auto r = sim::simulate(cfg);
         rec.count("events", static_cast<double>(r.events_fired));
-      }});
-
-  cases.push_back(BenchCase{
-      "event_queue_schedule_run", [queue_events](Recorder& rec) {
-        sim::EventQueue q;
-        Rng rng(7);
-        for (int i = 0; i < queue_events; ++i)
-          q.schedule(rng.uniform(0.0, 1.0e6), [] {});
-        while (!q.empty()) q.run_next();
-        rec.count("events", queue_events);
       }});
 
   cases.push_back(BenchCase{

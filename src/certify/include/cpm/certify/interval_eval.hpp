@@ -7,7 +7,8 @@
 // value at every stable parameter choice inside the box. Parameter
 // regions where some tier saturates surface as +infinity upper bounds
 // (never as a finite "proved" bound), so the certifier can only ever
-// prove a property that truly holds everywhere.
+// prove a property that truly holds everywhere. On a degenerate box the
+// delays are the analyzer's own values at that point.
 //
 // Division guards restrict denominators of the form (1 - rho) to their
 // non-negative part: the discarded negative part corresponds to unstable

@@ -287,6 +287,18 @@ IntervalEvaluation evaluate_box(const core::ClusterModel& model,
     ev.e2e_delay[k] = total;
   }
 
+  // A degenerate box is one concrete model. The station formulas above
+  // do not replay the analyzer's operation order, so their point result
+  // can land an ulp off its value: take the delays from the analyzer.
+  if (box.is_point()) {
+    const ParameterPoint point = congestion_corner(box);
+    const core::Evaluation concrete =
+        model_at(model, point).evaluate(point.frequencies);
+    if (concrete.stable)
+      for (std::size_t k = 0; k < n_classes; ++k)
+        ev.e2e_delay[k] = Interval::point(concrete.net.e2e_delay[k].value());
+  }
+
   // Cluster power. Station average power n (idle + dyn(f) rho) rewrites,
   // with rho = load_base ts n^-1 ... after cancelling speedup against the
   // utilisation's 1/speedup, to

@@ -8,8 +8,8 @@
 //     operand has each finite endpoint moved out by one ulp, so it
 //     contains the exact real result despite double rounding.
 //   * Point exactness: when every operand is a point the result is the
-//     ordinary double result, unwidened — degenerate boxes reproduce the
-//     concrete analyzer bit for bit.
+//     ordinary double result, unwidened, so a chain of point operations
+//     equals the same chain in doubles.
 //   * 0 * inf = 0: infinite endpoints are bounds, never attained values.
 //   * Division by a denominator touching zero yields the sound half-line
 //     (or the whole line when both operands straddle zero) instead of

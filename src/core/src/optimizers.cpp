@@ -37,6 +37,21 @@ FrequencyOptResult finish(const ClusterModel& model, std::vector<double> f,
   return r;
 }
 
+// All SLA (mean + percentile) bounds of `model` hold at evaluation `ev`.
+bool slas_hold(const ClusterModel& model, const Evaluation& ev) {
+  if (!ev.stable) return false;
+  for (std::size_t k = 0; k < model.num_classes(); ++k) {
+    const Sla& sla = model.classes()[k].sla;
+    if (sla.mean_bounded() && ev.net.e2e_delay[k] > sla.max_mean_e2e_delay)
+      return false;
+    if (sla.percentile_bounded() &&
+        queueing::percentile_e2e_delay(ev.net, k, sla.percentile) >
+            sla.max_percentile_e2e_delay)
+      return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 FrequencyOptResult minimize_delay_with_power_budget(
@@ -216,18 +231,7 @@ CostOptResult minimize_cost_for_slas(const ClusterModel& model,
     problem.cost[i] = model.tiers()[i].server_cost;
 
   problem.feasible = [&model, &freqs](const std::vector<int>& n) {
-    const Evaluation ev = model.with_servers(n).evaluate(freqs);
-    if (!ev.stable) return false;
-    for (std::size_t k = 0; k < model.num_classes(); ++k) {
-      const Sla& sla = model.classes()[k].sla;
-      if (sla.mean_bounded() && ev.net.e2e_delay[k] > sla.max_mean_e2e_delay)
-        return false;
-      if (sla.percentile_bounded() &&
-          queueing::percentile_e2e_delay(ev.net, k, sla.percentile) >
-              sla.max_percentile_e2e_delay)
-        return false;
-    }
-    return true;
+    return slas_hold(model, model.with_servers(n).evaluate(freqs));
   };
 
   const opt::IntegerResult ir = options.greedy_only
@@ -310,25 +314,6 @@ FrequencyOptResult lattice_search(
     best.power = units::Watts::infinity();
   }
   return best;
-}
-
-}  // namespace
-
-namespace {
-
-// All SLA (mean + percentile) bounds of `model` hold at evaluation `ev`.
-bool slas_hold(const ClusterModel& model, const Evaluation& ev) {
-  if (!ev.stable) return false;
-  for (std::size_t k = 0; k < model.num_classes(); ++k) {
-    const Sla& sla = model.classes()[k].sla;
-    if (sla.mean_bounded() && ev.net.e2e_delay[k] > sla.max_mean_e2e_delay)
-      return false;
-    if (sla.percentile_bounded() &&
-        queueing::percentile_e2e_delay(ev.net, k, sla.percentile) >
-            sla.max_percentile_e2e_delay)
-      return false;
-  }
-  return true;
 }
 
 }  // namespace

@@ -72,11 +72,6 @@ class ServerPower {
   /// Dynamic (busy minus idle) power at frequency f.
   [[nodiscard]] units::Watts dynamic_power(units::Hertz f) const;
 
-  /// Energy drawn beyond idle to serve one request of mean duration
-  /// `mean_service` (already expressed at frequency f).
-  [[nodiscard]] units::Joules marginal_energy_per_request(
-      units::Hertz f, units::Seconds mean_service) const;
-
  private:
   units::Watts idle_;
   double dyn_coeff_;  // c such that busy(f) = idle + c f^alpha (W / Hz^alpha)

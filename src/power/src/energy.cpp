@@ -29,9 +29,8 @@ EnergyMetrics compute_energy(const std::vector<TierPower>& tiers,
   }
 
   // Dynamic energy: each visit of class k to station s burns
-  // dynamic_power(f_s) * E[S] joules while holding a server (the product
-  // ServerPower::marginal_energy_per_request forms, with the power taken
-  // once per tier).
+  // dynamic_power(f_s) * E[S] joules while holding a server (the power is
+  // taken once per tier).
   for (std::size_t k = 0; k < n_classes; ++k) {
     for (const auto& v : classes[k].route) {
       const units::Seconds service = units::seconds(v.service.mean());

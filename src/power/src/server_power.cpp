@@ -56,11 +56,4 @@ units::Watts ServerPower::dynamic_power(units::Hertz f) const {
   return watts(dyn_coeff_ * std::pow(f.value(), alpha_));
 }
 
-units::Joules ServerPower::marginal_energy_per_request(
-    units::Hertz f, units::Seconds mean_service) const {
-  require(mean_service >= units::seconds(0.0),
-          "ServerPower: service time must be >= 0");
-  return dynamic_power(f) * mean_service;
-}
-
 }  // namespace cpm::power

@@ -27,7 +27,6 @@
 #include "cpm/common/units.hpp"
 #include "cpm/common/stats.hpp"
 #include "cpm/queueing/network.hpp"
-#include "cpm/sim/event_queue.hpp"
 #include "cpm/workload/rate_schedule.hpp"
 
 namespace cpm::sim {

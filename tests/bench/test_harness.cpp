@@ -90,20 +90,19 @@ TEST(Suites, P1IsKnownAndOthersAreRejected) {
   EXPECT_THROW(make_suite("nope", opt), Error);
   // Case list is stable: the CI gate matches cases by name.
   const auto cases = make_suite("p1", opt);
-  ASSERT_EQ(cases.size(), 13u);
+  ASSERT_EQ(cases.size(), 12u);
   EXPECT_EQ(cases[0].name, "sim_event_throughput");
-  EXPECT_EQ(cases[1].name, "event_queue_schedule_run");
-  EXPECT_EQ(cases[2].name, "analytic_evaluate");
-  EXPECT_EQ(cases[3].name, "replication_throughput");
-  EXPECT_EQ(cases[4].name, "optimizer_power_bound");
-  EXPECT_EQ(cases[5].name, "optimizer_cost_slas");
-  EXPECT_EQ(cases[6].name, "station_analysis_2_classes");
-  EXPECT_EQ(cases[7].name, "station_analysis_8_classes");
-  EXPECT_EQ(cases[8].name, "station_analysis_32_classes");
-  EXPECT_EQ(cases[9].name, "analytic_network_stable");
-  EXPECT_EQ(cases[10].name, "analytic_analyze_network");
-  EXPECT_EQ(cases[11].name, "analytic_percentile");
-  EXPECT_EQ(cases[12].name, "analytic_compute_energy");
+  EXPECT_EQ(cases[1].name, "analytic_evaluate");
+  EXPECT_EQ(cases[2].name, "replication_throughput");
+  EXPECT_EQ(cases[3].name, "optimizer_power_bound");
+  EXPECT_EQ(cases[4].name, "optimizer_cost_slas");
+  EXPECT_EQ(cases[5].name, "station_analysis_2_classes");
+  EXPECT_EQ(cases[6].name, "station_analysis_8_classes");
+  EXPECT_EQ(cases[7].name, "station_analysis_32_classes");
+  EXPECT_EQ(cases[8].name, "analytic_network_stable");
+  EXPECT_EQ(cases[9].name, "analytic_analyze_network");
+  EXPECT_EQ(cases[10].name, "analytic_percentile");
+  EXPECT_EQ(cases[11].name, "analytic_compute_energy");
 }
 
 TEST(Suites, QuickP1RunsEndToEnd) {
@@ -112,14 +111,14 @@ TEST(Suites, QuickP1RunsEndToEnd) {
   opt.warmup = 0;
   opt.repeats = 1;
   const auto r = run_named_suite("p1", opt);
-  ASSERT_EQ(r.cases.size(), 13u);
+  ASSERT_EQ(r.cases.size(), 12u);
   for (const auto& c : r.cases) {
     EXPECT_GT(c.wall_seconds.median, 0.0) << c.name;
     EXPECT_FALSE(c.rates.empty()) << c.name;
   }
   ASSERT_TRUE(r.cases[0].rates.count("events_per_sec"));
   EXPECT_GT(r.cases[0].rates.at("events_per_sec").median, 0.0);
-  ASSERT_TRUE(r.cases[3].rates.count("replications_per_sec"));
+  ASSERT_TRUE(r.cases[2].rates.count("replications_per_sec"));
 #if defined(__linux__)
   EXPECT_GT(r.peak_rss_bytes, 0u);
 #endif

@@ -5,12 +5,16 @@
 // fully decided and agree with cpm::lint rule for rule.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
+#include "cpm/certify/interval_eval.hpp"
 #include "cpm/check/certify_oracle.hpp"
 #include "cpm/check/generator.hpp"
 #include "cpm/common/rng.hpp"
 #include "cpm/core/cluster_model.hpp"
+#include "cpm/core/preconditions.hpp"
 
 namespace cpm::check {
 namespace {
@@ -62,6 +66,36 @@ TEST(CertifyOracle, SweepTwoHundredRandomModels) {
   }
   EXPECT_TRUE(saw_sound);
   EXPECT_TRUE(saw_parity);
+}
+
+TEST(CertifyOracle, PointBoxEnclosesTheAnalyzer) {
+  // The degenerate box at the nominal point: each enclosure must contain
+  // the concrete value the certifier's refutation pass computes there.
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    ModelGenerator generator(seed);
+    for (int i = 0; i < 300; ++i) {
+      const core::ClusterModel model = generator.next();
+      const std::vector<double> f = model.max_frequencies();
+      const core::Evaluation ev = model.evaluate(f);
+      ASSERT_TRUE(ev.stable);
+      const certify::IntervalEvaluation box =
+          certify::evaluate_box(model, certify::default_box(model));
+      const std::string where =
+          "seed " + std::to_string(seed) + " model " + std::to_string(i);
+      const std::vector<double> rho = core::tier_utilizations(model, f);
+      for (std::size_t s = 0; s < model.num_tiers(); ++s)
+        EXPECT_TRUE(box.rho[s].contains(rho[s])) << where << " tier " << s;
+      for (std::size_t k = 0; k < model.num_classes(); ++k) {
+        EXPECT_TRUE(box.delay_floor[k].contains(
+            core::class_delay_floor(model, k, f).value()))
+            << where << " class " << k;
+        EXPECT_TRUE(box.e2e_delay[k].contains(ev.net.e2e_delay[k].value()))
+            << where << " class " << k;
+      }
+      EXPECT_TRUE(box.cluster_power.contains(model.power_at(f).value()))
+          << where;
+    }
+  }
 }
 
 TEST(CertifyOracle, SweepIsDeterministic) {

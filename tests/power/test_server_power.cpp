@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "cpm/common/error.hpp"
 
 namespace cpm::power {
@@ -33,13 +31,6 @@ TEST(ServerPower, SpeedupLinearInFrequency) {
   const ServerPower sp(units::watts(100.0), units::watts(200.0), 2.0, DvfsRange{units::hertz(0.4), units::hertz(2.0), units::hertz(1.0)});
   EXPECT_NEAR(sp.speedup(units::hertz(0.5)), 0.5, 1e-12);
   EXPECT_NEAR(sp.speedup(units::hertz(2.0)), 2.0, 1e-12);
-}
-
-TEST(ServerPower, MarginalEnergyIsDynamicTimesService) {
-  const ServerPower sp(units::watts(100.0), units::watts(250.0), 3.0, DvfsRange{units::hertz(0.5), units::hertz(1.0), units::hertz(1.0)});
-  EXPECT_NEAR(sp.marginal_energy_per_request(units::hertz(1.0), units::seconds(0.02)).value(), 150.0 * 0.02, 1e-12);
-  EXPECT_NEAR(sp.marginal_energy_per_request(units::hertz(0.8), units::seconds(0.02)).value(),
-              150.0 * std::pow(0.8, 3.0) * 0.02, 1e-12);
 }
 
 TEST(ServerPower, FrequencyRangeEnforced) {

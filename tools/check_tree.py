@@ -11,12 +11,16 @@ clone. This gate fails when
   TREE-2  a `#include "cpm/..."` in a tracked C/C++ file does not resolve
           to a tracked header under src/<module>/include/.
 
-"Tracked" means `git ls-files` (the index) when ROOT is the top of a git
-work tree; otherwise (e.g. a `git archive` export) the files on disk.
+"Tracked" means `git ls-files` (the index, minus entries deleted from the
+work tree) when ROOT is the top of a git work tree; otherwise (e.g. a
+`git archive` export) the files on disk, minus every CMake build tree
+(a directory below ROOT holding a CMakeCache.txt) with the test fixtures
+its runs leave behind.
 
 Usage: tools/check_tree.py [root]
 Exit code 0 when clean, 1 when anything is missing.
 """
+import os
 import re
 import subprocess
 import sys
@@ -39,11 +43,19 @@ def tracked_files(root: Path) -> set[str]:
         if Path(top).resolve() == root.resolve():
             out = subprocess.run(["git", "-C", str(root), "ls-files", "-z"],
                                  capture_output=True, text=True, check=True).stdout
-            return {p for p in out.split("\0") if p}
+            return {p for p in out.split("\0") if p and (root / p).exists()}
     except (OSError, subprocess.CalledProcessError):
         pass
     print("check_tree: not a git work tree root; checking the files on disk")
-    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+    files = set()
+    for dirpath, dirnames, filenames in os.walk(root):
+        here = Path(dirpath)
+        if here != root and "CMakeCache.txt" in filenames:
+            dirnames.clear()  # a build tree, not source
+            continue
+        files.update((here / f).relative_to(root).as_posix() for f in filenames
+                     if (here / f).is_file())
+    return files
 
 
 def strip_comments(text: str) -> str:
